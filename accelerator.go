@@ -20,10 +20,10 @@ import (
 // Accelerator performs matrix algebra on a simulated Flumen photonic
 // fabric. Matrices are zero-padded and split into BlockSize×BlockSize
 // sub-blocks (Eq. 2-3); each block is scaled by its spectral norm,
-// decomposed via SVD, programmed into a mesh partition with the Clements
-// algorithm, and evaluated by exact complex E-field propagation. Inputs
-// and detected outputs pass through DAC/ADC quantizers, reproducing the
-// paper's 8-bit equivalent analog precision.
+// decomposed via SVD into the Clements phases a mesh partition is
+// programmed with, and evaluated by exact complex E-field propagation
+// through that program. Inputs and detected outputs pass through DAC/ADC
+// quantizers, reproducing the paper's 8-bit equivalent analog precision.
 //
 // The fabric is carved into ports/blockSize independent compute
 // partitions (the k/2 concurrent sub-meshes of Sec 3.2); MatMul/Conv2D
@@ -31,12 +31,14 @@ import (
 // engine.go), and an LRU weight-program cache amortizes the SVD +
 // Clements decomposition across calls that reuse the same weights.
 type Accelerator struct {
-	fabric     *photonic.FlumenMesh
-	partitions []*photonic.Partition
-	// pool hands out exclusive use of one partition per worker. It is
-	// created once and kept across RoutePermutation rebuilds so blocked
+	fabric *photonic.FlumenMesh
+	// partitions is the number of compute partitions, fixed at
+	// construction; a partition is identified by its index.
+	partitions int
+	// pool hands out exclusive use of one partition index per worker. It
+	// is created once and kept across RoutePermutation drains so blocked
 	// receivers never observe a stale channel.
-	pool chan *photonic.Partition
+	pool chan int
 
 	// fab, when attached, replaces the pool as the sole grantor of
 	// partitions: every work item then runs under a time-bounded compute
@@ -51,18 +53,11 @@ type Accelerator struct {
 	cache     *programCache
 	noiseOn   bool
 	noiseSeed int64
-	// compiled enables the batched compiled-kernel propagation path in the
-	// engine (default true; see SetCompiledKernels).
-	compiled bool
 
 	// Compiled-kernel counters (see KernelStats).
-	kernelCompiles  atomic.Int64
-	kernelReuses    atomic.Int64
-	kernelFallbacks atomic.Int64
+	kernelCompiles atomic.Int64
+	kernelReuses   atomic.Int64
 
-	// partIdx maps each partition back to its index so pool-mode checkouts
-	// know which health/fault record they hold; rebuilt with partitions.
-	partIdx map[*photonic.Partition]int
 	// faults holds the per-partition runtime fault injectors (nil entries
 	// = pristine device); replaced copy-on-write by InjectFaults so
 	// call-time snapshots never see a torn slice.
@@ -90,56 +85,31 @@ func NewAccelerator(ports, blockSize int) (*Accelerator, error) {
 	if ports < 4 || ports%4 != 0 {
 		return nil, fmt.Errorf("flumen: ports must be a positive multiple of 4, got %d", ports)
 	}
+	if blockSize < 2 || blockSize%2 != 0 || blockSize > ports/2 {
+		return nil, fmt.Errorf("flumen: blockSize must be even, ≥2 and ≤ ports/2 = %d, got %d", ports/2, blockSize)
+	}
+	parts := ports / blockSize
 	a := &Accelerator{
-		fabric:    photonic.NewFlumenMesh(ports),
-		quant:     optics.NewQuantizer(8, 1),
-		ep:        energy.Default(),
-		blockSize: blockSize,
-		lambdas:   8,
-		cache:     newProgramCache(DefaultProgramCacheSize),
-		compiled:  true,
+		fabric:     photonic.NewFlumenMesh(ports),
+		partitions: parts,
+		pool:       make(chan int, parts),
+		faults:     make([]*photonic.FaultInjector, parts),
+		quant:      optics.NewQuantizer(8, 1),
+		ep:         energy.Default(),
+		blockSize:  blockSize,
+		lambdas:    8,
+		cache:      newProgramCache(DefaultProgramCacheSize),
+		workers:    parts,
 	}
-	if err := a.buildPartitions(); err != nil {
-		return nil, err
-	}
-	a.workers = len(a.partitions)
+	a.fillPool()
 	return a, nil
 }
 
-// buildPartitions carves the fabric into as many blockSize partitions as
-// fit and (re)fills the worker pool. Invalid block sizes surface as the
-// canonical NewPartition error for the first region.
-func (a *Accelerator) buildPartitions() error {
-	count := 1
-	if a.blockSize >= 2 && a.blockSize <= a.fabric.N()/2 {
-		count = a.fabric.N() / a.blockSize
+// fillPool puts every partition index on the free pool in ascending order.
+func (a *Accelerator) fillPool() {
+	for i := 0; i < a.partitions; i++ {
+		a.pool <- i
 	}
-	parts := make([]*photonic.Partition, 0, count)
-	for i := 0; i < count; i++ {
-		p, err := a.fabric.NewPartition(i*a.blockSize, a.blockSize)
-		if err != nil {
-			return err
-		}
-		parts = append(parts, p)
-	}
-	idx := make(map[*photonic.Partition]int, len(parts))
-	for i, p := range parts {
-		idx[p] = i
-	}
-	a.mu.Lock()
-	a.partitions = parts
-	a.partIdx = idx
-	if len(a.faults) != len(parts) {
-		a.faults = make([]*photonic.FaultInjector, len(parts))
-	}
-	a.mu.Unlock()
-	if a.pool == nil {
-		a.pool = make(chan *photonic.Partition, count)
-	}
-	for _, p := range parts {
-		a.pool <- p
-	}
-	return nil
 }
 
 // SetPrecision configures the DAC/ADC bit depth (default 8).
@@ -181,11 +151,7 @@ func (a *Accelerator) BlockSize() int { return a.blockSize }
 
 // NumPartitions returns the number of independent compute partitions the
 // fabric is carved into (ports/blockSize).
-func (a *Accelerator) NumPartitions() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.partitions)
-}
+func (a *Accelerator) NumPartitions() int { return a.partitions }
 
 // SetWorkers sets the number of concurrent workers used by MatMul/Conv2D,
 // clamped to [1, NumPartitions]. The default is NumPartitions. Noiseless
@@ -195,8 +161,8 @@ func (a *Accelerator) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
 	}
-	if n > len(a.partitions) {
-		n = len(a.partitions)
+	if n > a.partitions {
+		n = a.partitions
 	}
 	a.workers = n
 	a.mu.Unlock()
@@ -222,42 +188,19 @@ func (a *Accelerator) SetProgramCacheSize(n int) {
 	a.mu.Unlock()
 }
 
-// SetCompiledKernels toggles the engine's batched compiled-kernel
-// propagation path (default on): with it enabled, every work item streams
-// all of its right-hand-side columns through the block program's compiled
-// SoA plan in one multi-RHS pass. With it disabled — or whenever a fault
-// injector is active on the executing partition, which corrupts the
-// program per item — columns run the interpreted per-vector lattice
-// instead. Both paths produce bitwise-identical results; the toggle exists
-// for benchmarking and as an escape hatch.
-func (a *Accelerator) SetCompiledKernels(on bool) {
-	a.mu.Lock()
-	a.compiled = on
-	a.mu.Unlock()
-}
-
-// CompiledKernels reports whether the batched compiled-kernel path is
-// enabled.
-func (a *Accelerator) CompiledKernels() bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.compiled
-}
-
 // KernelStats reports compiled-kernel effectiveness.
 type KernelStats struct {
 	// PlanCompiles and PlanReuses count work items that compiled a new
 	// propagation plan vs reused one cached on the block program — reuse
 	// rides the weight-program cache, so a warm cache makes compilation
-	// disappear from the steady state.
+	// disappear from the steady state. An item on a fault-injected
+	// partition runs a freshly corrupted program and always counts as a
+	// compile.
 	PlanCompiles int64
 	PlanReuses   int64
 	// PlanEvictions counts compiled plans dropped along with their program
 	// by the weight-program cache's LRU.
 	PlanEvictions int64
-	// Fallbacks counts work items that ran the interpreted per-vector path
-	// because a fault injector was active on the executing partition.
-	Fallbacks int64
 }
 
 // ProgramCacheStats reports hit/miss/eviction counts and occupancy of the
@@ -277,14 +220,14 @@ func (a *Accelerator) ProgramCacheStats() CacheStats {
 func (a *Accelerator) EnergyPJ() float64 { return a.meter.EnergyPJ() }
 
 // PrewarmWeights compiles every block program of weight matrix m into the
-// weight-program cache — including each program's compiled propagation plan
-// when the batched kernel path is enabled — and pins the entries against
-// LRU eviction. A later MatMul/MatVec/Conv2D against the same raw bits then
-// pays neither the SVD + Clements decomposition nor the plan compile on its
-// first request: this is the model registry's warm-start hook. Returns the
-// number of block programs pinned (a matrix whose blocks repeat pins the
-// shared entry once per occurrence; UnpinWeights is exactly symmetric).
-// With caching disabled the call is a no-op.
+// weight-program cache — including each program's compiled propagation
+// plan — and pins the entries against LRU eviction. A later
+// MatMul/MatVec/Conv2D against the same raw bits then pays neither the
+// SVD + Clements decomposition nor the plan compile on its first request:
+// this is the model registry's warm-start hook. Returns the number of
+// block programs pinned (a matrix whose blocks repeat pins the shared
+// entry once per occurrence; UnpinWeights is exactly symmetric). With
+// caching disabled the call is a no-op.
 //
 // Prewarming performs no physical programming and meters no energy: it
 // fills the compilation cache, it does not touch the fabric.
@@ -299,7 +242,6 @@ func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
 	}
 	a.mu.RLock()
 	cache := a.cache
-	compiled := a.compiled
 	a.mu.RUnlock()
 	if cache == nil {
 		return 0, nil
@@ -314,12 +256,10 @@ func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
 			if err != nil {
 				return pinned, err
 			}
-			if compiled {
-				if _, compiledNow := bp.Plan(); compiledNow {
-					a.kernelCompiles.Add(1)
-				} else {
-					a.kernelReuses.Add(1)
-				}
+			if _, compiledNow := bp.Plan(); compiledNow {
+				a.kernelCompiles.Add(1)
+			} else {
+				a.kernelReuses.Add(1)
 			}
 			if cache.pin(blk.Fingerprint()) {
 				pinned++
@@ -377,18 +317,18 @@ func (a *Accelerator) AttachFabric(arb *fabric.Arbiter) error {
 	if a.fab != nil {
 		return fmt.Errorf("flumen: fabric arbiter already attached")
 	}
-	if got := arb.Partitions(); got != len(a.partitions) {
+	if got := arb.Partitions(); got != a.partitions {
 		return fmt.Errorf("flumen: arbiter manages %d partitions, accelerator has %d",
-			got, len(a.partitions))
+			got, a.partitions)
 	}
-	drained := make([]*photonic.Partition, 0, len(a.partitions))
-	for i := 0; i < len(a.partitions); i++ {
+	drained := make([]int, 0, a.partitions)
+	for i := 0; i < a.partitions; i++ {
 		select {
-		case p := <-a.pool:
-			drained = append(drained, p)
+		case idx := <-a.pool:
+			drained = append(drained, idx)
 		default:
-			for _, p := range drained {
-				a.pool <- p
+			for _, idx := range drained {
+				a.pool <- idx
 			}
 			return fmt.Errorf("flumen: cannot attach fabric arbiter while compute is in flight")
 		}
@@ -427,8 +367,7 @@ type Stats struct {
 	// Cache reports weight-program cache hit/miss/eviction counts (zero
 	// value when caching is disabled).
 	Cache CacheStats
-	// Kernel reports compiled-kernel plan compile/reuse/eviction and
-	// interpreter-fallback counts.
+	// Kernel reports compiled-kernel plan compile/reuse/eviction counts.
 	Kernel KernelStats
 	// Fabric is the attached dynamic-fabric arbiter's snapshot (nil when
 	// the accelerator owns its partitions outright).
@@ -446,7 +385,7 @@ func (a *Accelerator) Stats() Stats {
 	s := Stats{
 		Ports:      a.fabric.N(),
 		BlockSize:  a.blockSize,
-		Partitions: len(a.partitions),
+		Partitions: a.partitions,
 		Workers:    a.workers,
 		Precision:  a.quant.Bits,
 	}
@@ -460,7 +399,6 @@ func (a *Accelerator) Stats() Stats {
 	s.Kernel = KernelStats{
 		PlanCompiles: a.kernelCompiles.Load(),
 		PlanReuses:   a.kernelReuses.Load(),
-		Fallbacks:    a.kernelFallbacks.Load(),
 	}
 	if c != nil {
 		s.Cache = c.stats()
@@ -641,7 +579,7 @@ func (a *Accelerator) RoutePermutation(perm []int) ([]int, error) {
 		return nil, fmt.Errorf("flumen: cannot re-route fabric while the health monitor is enabled")
 	}
 	// Take every partition out of the pool so no worker is mid-flight while
-	// the fabric is re-routed; buildPartitions refills the same channel.
+	// the fabric is re-routed, then hand them back in ascending order.
 	for range a.partitions {
 		<-a.pool
 	}
@@ -650,10 +588,7 @@ func (a *Accelerator) RoutePermutation(perm []int) ([]int, error) {
 	for src := range perm {
 		counts[src], _ = a.fabric.PathMZICount(src)
 	}
-	// Restore the compute partitions (routing reset the fabric).
-	if err := a.buildPartitions(); err != nil {
-		return nil, err
-	}
+	a.fillPool()
 	return counts, nil
 }
 

@@ -11,28 +11,27 @@ package main
 // exponentials per device per vector), so the ≥2× warm acceptance gate
 // applies to the 256×256 full-batch point here.
 //
-// Engine level (secondary): Accelerator.MatMul with compiled kernels
-// toggled on/off. The engine's interpreted path already consumes
-// BlockProgram's precompiled coefficients (PR 1), so both engine paths are
-// arithmetic-bound and land near parity — the sweep documents that the
-// batched path costs nothing while keeping bit-identical outputs. The
-// program cache is sized to the sweep's block count so "warm" genuinely
-// means warm.
+// Engine level (secondary): Accelerator.MatMul, whose only propagation
+// path is the compiled plan. The program cache is sized to the sweep's
+// block count so "warm" genuinely means warm, and the cold and warm
+// outputs must agree bit for bit (the cache never changes results).
 //
 // Every point, at both levels, is timed cold (weight programs and plans
-// recompiled inside the timed region) and warm, and the compiled output is
-// checked bitwise against the interpreted output. Results land in
-// BENCH_kernel.json. With -smoke the sweep shrinks and only the
-// bitwise-equality gates are enforced (no performance thresholds, so CI
-// stays immune to machine speed).
+// recompiled inside the timed region) and warm. Results land in
+// BENCH_kernel.json together with the CPU model, GOMAXPROCS and Go
+// version they were measured with. With -smoke the sweep shrinks and only
+// the bitwise-equality gates are enforced (no performance thresholds, so
+// CI stays immune to machine speed).
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 
 	"flumen"
 	"flumen/internal/mat"
@@ -51,12 +50,39 @@ type kernelPoint struct {
 	Bitwise        bool    `json:"bitwise_equal"`
 }
 
+// enginePoint is one engine-level (size, nrhs) MatMul timing.
+type enginePoint struct {
+	Size    int     `json:"size"`
+	NRHS    int     `json:"nrhs"`
+	ColdMS  float64 `json:"cold_ms"`
+	WarmMS  float64 `json:"warm_ms"`
+	Bitwise bool    `json:"cold_warm_bitwise_equal"`
+}
+
 type kernelReport struct {
+	CPU        string             `json:"cpu"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
+	GoVersion  string             `json:"go_version"`
 	Smoke      bool               `json:"smoke"`
 	Fabric     []kernelPoint      `json:"fabric_points"`
-	Engine     []kernelPoint      `json:"engine_points"`
+	Engine     []enginePoint      `json:"engine_points"`
 	Kernel     flumen.KernelStats `json:"kernel_stats"`
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 func bitsEqualMats(a, b [][]float64) bool {
@@ -251,31 +277,33 @@ func fabricPoint(rig *fabricRig, size, nrhs, reps int, rng *rand.Rand) (kernelPo
 	return p, nil
 }
 
-// enginePoint times one (size, nrhs) Accelerator.MatMul with the given
-// kernel setting. cacheCap must cover the sweep's block count so the warm
-// runs hit the program cache; cold clears it (dropping programs and their
-// compiled plans) inside the timed region.
-func enginePoint(acc *flumen.Accelerator, m, x [][]float64, reps, cacheCap int) (coldMS, warmMS float64, out [][]float64, err error) {
-	call := func() error {
-		var e error
-		out, e = acc.MatMul(m, x)
-		return e
+// timeEngine times one (size, nrhs) Accelerator.MatMul cold and warm.
+// cacheCap must cover the sweep's block count so the warm runs hit the
+// program cache; cold clears it (dropping programs and their compiled
+// plans) inside the timed region.
+func timeEngine(acc *flumen.Accelerator, m, x [][]float64, reps, cacheCap int) (enginePoint, error) {
+	p := enginePoint{Size: len(m), NRHS: len(x[0])}
+	var cold, warm [][]float64
+	matMul := func(out *[][]float64) error {
+		var err error
+		*out, err = acc.MatMul(m, x)
+		return err
 	}
-	coldMS, err = timeIt(reps, func() error {
+	var err error
+	if p.ColdMS, err = timeIt(reps, func() error {
 		acc.SetProgramCacheSize(cacheCap) // clears: programs and plans recompile
-		return call()
-	})
-	if err != nil {
-		return 0, 0, nil, err
+		return matMul(&cold)
+	}); err != nil {
+		return p, err
 	}
-	if err = call(); err != nil { // prime
-		return 0, 0, nil, err
+	if err = matMul(&warm); err != nil { // prime
+		return p, err
 	}
-	warmMS, err = timeIt(reps, call)
-	if err != nil {
-		return 0, 0, nil, err
+	if p.WarmMS, err = timeIt(reps, func() error { return matMul(&warm) }); err != nil {
+		return p, err
 	}
-	return coldMS, warmMS, out, nil
+	p.Bitwise = bitsEqualMats(cold, warm)
+	return p, nil
 }
 
 func runKernelBench(outPath string, smoke bool) error {
@@ -290,7 +318,12 @@ func runKernelBench(outPath string, smoke bool) error {
 		rhss = []int{4, 16}
 		reps = 1
 	}
-	report := kernelReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Smoke: smoke}
+	report := kernelReport{
+		CPU:        cpuModel(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Smoke:      smoke,
+	}
 
 	rig, err := newFabricRig(fabricBS)
 	if err != nil {
@@ -312,47 +345,29 @@ func runKernelBench(outPath string, smoke bool) error {
 		}
 	}
 
-	compiled, err := flumen.NewAccelerator(64, engineBlock)
+	acc, err := flumen.NewAccelerator(64, engineBlock)
 	if err != nil {
 		return err
 	}
-	interp, err := flumen.NewAccelerator(64, engineBlock)
-	if err != nil {
-		return err
-	}
-	interp.SetCompiledKernels(false)
 	for _, size := range sizes {
 		for _, nrhs := range rhss {
 			rng := rand.New(rand.NewSource(int64(43*size + nrhs)))
 			m := randMatrix(rng, size, size)
 			x := randMatrix(rng, size, nrhs)
 			cacheCap := max(flumen.DefaultProgramCacheSize, (size/engineBlock)*(size/engineBlock))
-
-			iCold, iWarm, iOut, err := enginePoint(interp, m, x, reps, cacheCap)
+			p, err := timeEngine(acc, m, x, reps, cacheCap)
 			if err != nil {
 				return err
-			}
-			cCold, cWarm, cOut, err := enginePoint(compiled, m, x, reps, cacheCap)
-			if err != nil {
-				return err
-			}
-			p := kernelPoint{
-				Size: size, NRHS: nrhs,
-				InterpColdMS: iCold, InterpWarmMS: iWarm,
-				CompiledColdMS: cCold, CompiledWarmMS: cWarm,
-				ColdSpeedup: iCold / cCold,
-				WarmSpeedup: iWarm / cWarm,
-				Bitwise:     bitsEqualMats(iOut, cOut),
 			}
 			report.Engine = append(report.Engine, p)
-			fmt.Printf("engine MatMul %dx%d · nrhs=%d: interp %.2f/%.2f ms (cold/warm), compiled %.2f/%.2f ms, warm speedup %.2fx, bitwise-equal %v\n",
-				size, size, nrhs, iCold, iWarm, cCold, cWarm, p.WarmSpeedup, p.Bitwise)
+			fmt.Printf("engine MatMul %dx%d · nrhs=%d: %.2f/%.2f ms (cold/warm), cold≡warm bitwise %v\n",
+				size, size, nrhs, p.ColdMS, p.WarmMS, p.Bitwise)
 			if !p.Bitwise {
-				return fmt.Errorf("kernel bench: engine compiled %d×%d nrhs=%d output is not bitwise-equal to interpreted", size, size, nrhs)
+				return fmt.Errorf("kernel bench: engine %d×%d nrhs=%d cold and warm outputs differ", size, size, nrhs)
 			}
 		}
 	}
-	report.Kernel = compiled.Stats().Kernel
+	report.Kernel = acc.Stats().Kernel
 
 	if !smoke {
 		// Acceptance: the compiled kernel must deliver ≥2× over the

@@ -28,10 +28,11 @@
 // monitor (quarantine + in-situ recalibration), plus a flumend serving
 // check, and writes BENCH_faults.json; -smoke shrinks the sweep and exits
 // non-zero if the acceptance thresholds are missed. -kernel sweeps MatMul
-// sizes × right-hand-side counts comparing the interpreted per-vector
-// engine path against the compiled SoA kernels (cold and warm caches,
-// bitwise-checked at every point) and writes BENCH_kernel.json; with
-// -smoke it shrinks the sweep and enforces only the bitwise gate.
+// sizes × right-hand-side counts, comparing the device-by-device fabric
+// interpreter against the compiled SoA kernels and timing the engine's
+// compiled path (cold and warm caches, bitwise-checked at every point),
+// and writes BENCH_kernel.json; with -smoke it shrinks the sweep and
+// enforces only the bitwise gates.
 // -cluster spins up a weight-affinity router over in-process flumend
 // backends on loopback and compares warm-cache throughput of affinity
 // routing against random routing (responses bitwise-checked against a

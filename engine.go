@@ -18,10 +18,10 @@ import (
 
 // This file is the accelerator's parallel compute engine. A padded
 // matrix-matrix product decomposes into (block-row, block-col) work items;
-// each item compiles (or fetches from the weight-program cache) the
-// block's SVD + Clements program, applies it to a fabric partition checked
-// out of the pool, and streams the right-hand-side columns through the
-// compiled lattice.
+// each item runs on a compute partition checked out of the pool (or leased
+// from the fabric arbiter), fetches the block's SVD + Clements program from
+// the weight-program cache (compiling it on a miss), and streams the
+// right-hand-side columns through the program's compiled plan.
 //
 // Determinism guarantees:
 //   - Work item idx = c*bi + r is assigned to worker idx % workers, and the
@@ -51,13 +51,10 @@ type callConfig struct {
 	noiseSeed int64
 	noiseCall int64
 	lambdas   int
-	kernels   bool
 	cache     *programCache
-	// fab and parts are the fabric-arbitration snapshot: when fab is
-	// non-nil, partitions are granted by lease (parts indexed by the
-	// lease's partition number) instead of the free pool.
-	fab   *fabric.Arbiter
-	parts []*photonic.Partition
+	// fab is the fabric-arbitration snapshot: when non-nil, partitions are
+	// granted by lease instead of the free pool.
+	fab *fabric.Arbiter
 	// faults and health are the device-health snapshot: per-partition
 	// fault injectors corrupt each executed program, and the monitor (when
 	// enabled) probes and quarantines between items (see health.go).
@@ -90,19 +87,12 @@ type itemResult struct {
 }
 
 // workerScratch holds per-worker reusable buffers so the streaming loop
-// performs no per-column allocation.
+// performs no per-column allocation: one vector-major slab of nrhs×n
+// states plus the per-column modulator scales, grown on demand and reused
+// across the worker's items.
 type workerScratch struct {
-	seg []complex128
-	res []complex128
-	// batch and scales back the compiled multi-RHS path: one vector-major
-	// slab of nrhs×n states plus the per-column modulator scales, grown on
-	// demand and reused across the worker's items.
 	batch  []complex128
 	scales []float64
-}
-
-func newScratch(n int) *workerScratch {
-	return &workerScratch{seg: make([]complex128, n), res: make([]complex128, n)}
 }
 
 // ensureBatch returns batch and scale buffers sized for nrhs columns of
@@ -147,10 +137,8 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) (*mat.De
 		noiseOn:   a.noiseOn,
 		noiseSeed: a.noiseSeed,
 		lambdas:   a.lambdas,
-		kernels:   a.compiled,
 		cache:     a.cache,
 		fab:       a.fab,
-		parts:     a.partitions,
 		faults:    a.faults,
 		health:    a.health,
 	}
@@ -213,14 +201,15 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) (*mat.De
 	return out, nil
 }
 
-// partHandle pairs a checked-out partition with its index and the fabric
-// lease that granted it; lease is nil when no arbiter is attached and the
-// partition came from the free pool.
+// partHandle is a checked-out partition: its index and the fabric lease
+// that granted it. lease is nil when no arbiter is attached and the index
+// came from the free pool; idx < 0 means no partition is held.
 type partHandle struct {
-	p     *photonic.Partition
 	idx   int
 	lease *fabric.Lease
 }
+
+var noPartition = partHandle{idx: -1}
 
 // checkout acquires a partition — from the attached fabric arbiter when
 // one is configured (blocking while the fabric carries traffic), otherwise
@@ -237,32 +226,21 @@ func (a *Accelerator) checkout(ctx context.Context, cfg *callConfig) (partHandle
 	if cfg.fab != nil {
 		l, err := cfg.fab.Acquire(ctx)
 		if err != nil {
-			return partHandle{}, err
+			return noPartition, err
 		}
-		return partHandle{p: cfg.parts[l.Partition()], idx: l.Partition(), lease: l}, nil
+		return partHandle{idx: l.Partition(), lease: l}, nil
 	}
 	// Fast path: a cancelled context always loses, even when a partition is
 	// simultaneously available (select would pick at random).
 	if err := ctx.Err(); err != nil {
-		return partHandle{}, err
+		return noPartition, err
 	}
 	select {
-	case p := <-a.pool:
-		return partHandle{p: p, idx: a.partitionIndex(p)}, nil
+	case idx := <-a.pool:
+		return partHandle{idx: idx}, nil
 	case <-ctx.Done():
-		return partHandle{}, ctx.Err()
+		return noPartition, ctx.Err()
 	}
-}
-
-// partitionIndex resolves a partition pointer back to its index in the
-// registry (for health/fault bookkeeping).
-func (a *Accelerator) partitionIndex(p *photonic.Partition) int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if i, ok := a.partIdx[p]; ok {
-		return i
-	}
-	return -1
 }
 
 // checkin returns a checked-out partition: leases are released to the
@@ -273,11 +251,11 @@ func (a *Accelerator) checkin(h partHandle) {
 	switch {
 	case h.lease != nil:
 		h.lease.Release()
-	case h.p != nil:
-		if hm := a.healthRef(); hm != nil && hm.parkIfQuarantined(a, h.idx, h.p) {
+	case h.idx >= 0:
+		if hm := a.healthRef(); hm != nil && hm.parkIfQuarantined(a, h.idx) {
 			return
 		}
-		a.pool <- h.p
+		a.pool <- h.idx
 	}
 }
 
@@ -290,16 +268,16 @@ func (a *Accelerator) checkin(h partHandle) {
 // partial results merge serially in index order and a compiled block
 // program propagates independently of the partition that runs it.
 func (a *Accelerator) runItems(ctx context.Context, g, workers, items, bi, nrhs int, pm, px *mat.Dense, cfg *callConfig, results []itemResult) error {
-	var h partHandle
+	h := noPartition
 	var err error
 	defer func() { a.checkin(h) }()
-	scratch := newScratch(a.blockSize)
+	scratch := new(workerScratch)
 	for idx := g; idx < items; idx += workers {
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if h.p == nil {
+			if h.idx < 0 {
 				// First item, or the previous partition was quarantined:
 				// acquire lazily so a worker that just finished its stripe
 				// never blocks on capacity it no longer needs.
@@ -314,14 +292,14 @@ func (a *Accelerator) runItems(ctx context.Context, g, workers, items, bi, nrhs 
 			// the lease, and park in Acquire until compute is allowed again.
 			cfg.fab.NotePreemptedItems(1)
 			a.checkin(h)
-			h = partHandle{}
+			h = noPartition
 		}
 		c, r := idx/bi, idx%bi
 		var itemStart time.Time
 		if cfg.rec != nil {
 			itemStart = time.Now()
 		}
-		if err := a.computeItem(h.p, h.idx, scratch, pm, px, r, c, nrhs, cfg, &results[idx]); err != nil {
+		if err := a.computeItem(h.idx, scratch, pm, px, r, c, nrhs, cfg, &results[idx]); err != nil {
 			return err
 		}
 		if cfg.rec != nil {
@@ -334,7 +312,7 @@ func (a *Accelerator) runItems(ctx context.Context, g, workers, items, bi, nrhs 
 			// grants. Results are unaffected — the remaining items merge in
 			// the same serial order regardless of which partition runs them.
 			a.checkin(h)
-			h = partHandle{}
+			h = noPartition
 			continue
 		}
 		if h.lease != nil {
@@ -359,38 +337,27 @@ func preempted(l *fabric.Lease) bool {
 }
 
 // computeItem executes one (block-row r, block-col c) work item on
-// partition p: fetch or compile the block's weight program, apply it to
-// the fabric, and stream the nrhs right-hand-side columns through the
-// compiled lattice in λ batches. With compiled kernels enabled (the
-// default) and no fault injector on the partition, all columns propagate
-// through the program's SoA plan in one multi-RHS pass; otherwise each
-// column runs the interpreted per-vector path. Both paths execute the same
-// floating-point operations per column in the same order, so outputs are
-// bitwise-identical.
-func (a *Accelerator) computeItem(p *photonic.Partition, pidx int, s *workerScratch, pm, px *mat.Dense, r, c, nrhs int, cfg *callConfig, res *itemResult) error {
+// partition pidx: fetch or compile the block's weight program and stream
+// the nrhs right-hand-side columns through its compiled plan in λ batches.
+// The program's SVD + Clements phases are what the partition would be
+// programmed with; propagating the program itself gives the same
+// E-fields without writing them onto the simulated mesh, and does not
+// depend on the partition's wire offset — which is what makes parallel
+// output bitwise-equal to serial.
+func (a *Accelerator) computeItem(pidx int, s *workerScratch, pm, px *mat.Dense, r, c, nrhs int, cfg *callConfig, res *itemResult) error {
 	n := a.blockSize
 	blk := mat.Block(pm, n, r, c)
 	bp, err := a.programFor(blk, cfg.cache)
 	if err != nil {
 		return err
 	}
-	// Physically program the partition (phase settings are always
-	// re-applied; only the decomposition is amortized by the cache), so
-	// energy accounting and fabric state match the device model.
-	if err := p.Apply(bp); err != nil {
-		return err
-	}
 	// With a fault injector attached, the hardware realizes a corrupted
 	// version of the program it was asked for: drift advances one step per
-	// item and the propagation below runs through the corrupted lattice.
-	// The cached program itself is never touched — and because the corrupted
-	// program is fresh each item, the compiled-plan path would recompile per
-	// item for nothing, so faults force the interpreted path.
-	run := bp
-	inj := cfg.injector(pidx)
-	if inj != nil {
+	// item and the columns propagate through the corrupted copy, which
+	// compiles a plan of its own. The cached program is never touched.
+	if inj := cfg.injector(pidx); inj != nil {
 		inj.Step(1)
-		run = inj.Corrupt(bp)
+		bp = inj.Corrupt(bp)
 	}
 	res.programPJ = a.ep.FlumenProgramPJ(n)
 	res.out = make([]complex128, nrhs*n)
@@ -401,15 +368,7 @@ func (a *Accelerator) computeItem(p *photonic.Partition, pidx int, s *workerScra
 		nm := optics.DefaultNoise(1, rand.New(src))
 		noise = &nm
 	}
-
-	if cfg.kernels {
-		if inj == nil {
-			a.streamBatched(bp, s, px, c, nrhs, cfg, noise, res)
-			return nil
-		}
-		a.kernelFallbacks.Add(1)
-	}
-	a.streamInterp(run, bp, s, px, c, nrhs, cfg, noise, res)
+	a.streamBatched(bp, s, px, c, nrhs, cfg, noise, res)
 	return nil
 }
 
@@ -417,8 +376,8 @@ func (a *Accelerator) computeItem(p *photonic.Partition, pidx int, s *workerScra
 // compiled plan in one pass: columns are gathered, scaled and DAC-quantized
 // into a vector-major slab, propagated together by ForwardBatch (which
 // loads each op's coefficients once per tile instead of once per column),
-// then post-processed per column in ascending order so noise draws, ADC
-// quantization and λ-batch accounting match the interpreted path exactly.
+// then post-processed per column in ascending order, so noise draws, ADC
+// quantization and λ-batch accounting follow column order.
 func (a *Accelerator) streamBatched(bp *photonic.BlockProgram, s *workerScratch, px *mat.Dense, c, nrhs int, cfg *callConfig, noise *optics.NoiseModel, res *itemResult) {
 	n := a.blockSize
 	plan, compiledNow := bp.Plan()
@@ -438,10 +397,10 @@ func (a *Accelerator) streamBatched(bp *photonic.BlockProgram, s *workerScratch,
 		scale := maxAbs(seg)
 		scales[v] = scale
 		if scale == 0 {
-			// The interpreted path never propagates a dark column; its slab
-			// still rides through the plan (vectors are isolated, so even
-			// non-finite values that zeroed the scale cannot leak into a
-			// neighbour), but the output is discarded below.
+			// A dark column contributes nothing. Its slab still rides
+			// through the plan (vectors are isolated, so even non-finite
+			// values that zeroed the scale cannot leak into a neighbour),
+			// but the output is discarded below.
 			clear(seg)
 			continue
 		}
@@ -484,65 +443,6 @@ func (a *Accelerator) streamBatched(bp *photonic.BlockProgram, s *workerScratch,
 			sc := complex(scales[v], 0)
 			for i := 0; i < n; i++ {
 				dst[i] = out[i] * sc
-			}
-		}
-		res.batches++
-		res.vectorPJ += a.ep.FlumenVectorsPJ(n, v1-v0)
-	}
-}
-
-// streamInterp streams the right-hand-side columns one vector at a time
-// through the interpreted lattice of run (which may be a fault-corrupted
-// variant of bp); bp supplies the spectral scale of the intended program.
-func (a *Accelerator) streamInterp(run, bp *photonic.BlockProgram, s *workerScratch, px *mat.Dense, c, nrhs int, cfg *callConfig, noise *optics.NoiseModel, res *itemResult) {
-	n := a.blockSize
-	scaleC := complex(bp.Scale, 0)
-	for v0 := 0; v0 < nrhs; v0 += cfg.lambdas {
-		v1 := min(v0+cfg.lambdas, nrhs)
-		for v := v0; v < v1; v++ {
-			seg := s.seg
-			for i := 0; i < n; i++ {
-				seg[i] = px.At(c*n+i, v)
-			}
-			// Scale inputs into the modulator's full-scale range and
-			// quantize at the DAC.
-			scale := maxAbs(seg)
-			if scale == 0 {
-				continue
-			}
-			for i := range seg {
-				seg[i] /= complex(scale, 0)
-			}
-			cfg.dac.QuantizeComplexVec(seg)
-			// Propagate through the compiled lattice rather than the
-			// physical partition: the result is identical math but does not
-			// depend on the partition's wire offset, which is what makes
-			// parallel output bitwise-equal to serial.
-			out := run.ForwardInto(s.res, seg)
-			if bp.Scale != 1 {
-				for i := range out {
-					out[i] *= scaleC
-				}
-			}
-			if noise != nil {
-				for i := range out {
-					out[i] = complex(noise.Apply(real(out[i])), noise.Apply(imag(out[i])))
-				}
-			}
-			// ADC quantization of detected outputs, in the normalized
-			// (pre-spectral-rescale) domain.
-			if bp.Scale != 0 {
-				for i := range out {
-					out[i] /= scaleC
-				}
-				cfg.adc.QuantizeComplexVec(out)
-				for i := range out {
-					out[i] *= scaleC
-				}
-			}
-			dst := res.out[v*n : (v+1)*n]
-			for i := 0; i < n; i++ {
-				dst[i] = out[i] * complex(scale, 0)
 			}
 		}
 		res.batches++

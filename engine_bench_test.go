@@ -5,18 +5,17 @@ import (
 	"testing"
 )
 
-// Engine-level kernel benchmarks: the same 256×256 MatMul with the compiled
-// SoA path on and off, at both block sizes. The program cache is sized to
-// the sweep's block count so the steady state is genuinely warm (an evicted
-// program drops its compiled plan with it). The fuller cold/warm × fabric/
-// engine sweep lives in `flumen-bench -kernel`.
+// Engine-level kernel benchmarks: a 256×256 MatMul through the compiled
+// SoA path at both block sizes. The program cache is sized to the sweep's
+// block count so the steady state is genuinely warm (an evicted program
+// drops its compiled plan with it). The fuller cold/warm × fabric/engine
+// sweep lives in `flumen-bench -kernel`.
 
-func benchEngineMatMul(b *testing.B, compiled bool, blockSize, size, nrhs int) {
+func benchEngineMatMul(b *testing.B, blockSize, size, nrhs int) {
 	a, err := NewAccelerator(64, blockSize)
 	if err != nil {
 		b.Fatal(err)
 	}
-	a.SetCompiledKernels(compiled)
 	a.SetProgramCacheSize((size / blockSize) * (size / blockSize)) // hold every block of the sweep
 	rng := rand.New(rand.NewSource(3))
 	m := randMatrix(rng, size, size)
@@ -32,7 +31,5 @@ func benchEngineMatMul(b *testing.B, compiled bool, blockSize, size, nrhs int) {
 	}
 }
 
-func BenchmarkEngineKernelInterp256(b *testing.B)      { benchEngineMatMul(b, false, 8, 256, 256) }
-func BenchmarkEngineKernelCompiled256(b *testing.B)    { benchEngineMatMul(b, true, 8, 256, 256) }
-func BenchmarkEngineKernelInterp256B32(b *testing.B)   { benchEngineMatMul(b, false, 32, 256, 256) }
-func BenchmarkEngineKernelCompiled256B32(b *testing.B) { benchEngineMatMul(b, true, 32, 256, 256) }
+func BenchmarkEngineKernelCompiled256(b *testing.B)    { benchEngineMatMul(b, 8, 256, 256) }
+func BenchmarkEngineKernelCompiled256B32(b *testing.B) { benchEngineMatMul(b, 32, 256, 256) }

@@ -170,7 +170,8 @@ func TestEngineProgramCacheHits(t *testing.T) {
 			}
 		}
 	}
-	// Counters must be unaffected by caching: phases are still re-applied.
+	// Counters must be unaffected by caching: programming is still charged
+	// per item.
 	aStats := a.Stats()
 	programs, batches := aStats.Programs, aStats.Batches
 	if programs != 8 || batches != 8 {

@@ -145,7 +145,7 @@ type partitionHealth struct {
 	probes      int64
 	quarantines int64
 	recals      int64
-	parked      bool // pool mode: physical partition held by the monitor
+	parked      bool // pool mode: partition held by the monitor
 }
 
 // healthMonitor drives probes, quarantine decisions and background
@@ -196,8 +196,8 @@ func (a *Accelerator) EnableHealthMonitor(cfg HealthConfig) error {
 	a.health = &healthMonitor{
 		cfg:       cfg.withDefaults(),
 		probe:     bp,
-		parts:     make([]partitionHealth, len(a.partitions)),
-		inService: len(a.partitions),
+		parts:     make([]partitionHealth, a.partitions),
+		inService: a.partitions,
 	}
 	return nil
 }
@@ -212,12 +212,12 @@ func (a *Accelerator) EnableHealthMonitor(cfg HealthConfig) error {
 func (a *Accelerator) InjectFaults(part int, fc photonic.FaultConfig) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if part < 0 || part >= len(a.partitions) {
-		return fmt.Errorf("flumen: partition %d out of range [0,%d)", part, len(a.partitions))
+	if part < 0 || part >= a.partitions {
+		return fmt.Errorf("flumen: partition %d out of range [0,%d)", part, a.partitions)
 	}
 	// Copy-on-write so concurrent calls snapshotting the slice never
 	// observe a torn element.
-	next := make([]*photonic.FaultInjector, len(a.partitions))
+	next := make([]*photonic.FaultInjector, a.partitions)
 	copy(next, a.faults)
 	next[part] = photonic.NewFaultInjector(a.blockSize, fc)
 	a.faults = next
@@ -341,11 +341,10 @@ func (hm *healthMonitor) afterItem(a *Accelerator, cfg *callConfig, h partHandle
 		// releases its lease; recalibration can start right away because it
 		// only touches injector state, never in-flight optics.
 		cfg.fab.SetQuarantine(h.idx, true)
-		go hm.recalibrate(a, h.idx, nil)
+		go hm.recalibrate(a, h.idx)
 	}
-	// Pool mode: the physical partition is parked (and recalibration
-	// spawned) by checkin via parkIfQuarantined once the worker hands it
-	// back.
+	// Pool mode: the partition is parked (and recalibration spawned) by
+	// checkin via parkIfQuarantined once the worker hands it back.
 	return true
 }
 
@@ -353,7 +352,7 @@ func (hm *healthMonitor) afterItem(a *Accelerator, cfg *callConfig, h partHandle
 // partition is held by the monitor instead of returning to the pool, and
 // background recalibration starts. Returns true when the partition was
 // parked.
-func (hm *healthMonitor) parkIfQuarantined(a *Accelerator, idx int, p *photonic.Partition) bool {
+func (hm *healthMonitor) parkIfQuarantined(a *Accelerator, idx int) bool {
 	hm.mu.Lock()
 	ph := &hm.parts[idx]
 	if ph.state != HealthQuarantined || ph.parked {
@@ -363,7 +362,7 @@ func (hm *healthMonitor) parkIfQuarantined(a *Accelerator, idx int, p *photonic.
 	ph.parked = true
 	hm.wg.Add(1)
 	hm.mu.Unlock()
-	go hm.recalibrate(a, idx, p)
+	go hm.recalibrate(a, idx)
 	return true
 }
 
@@ -371,9 +370,8 @@ func (hm *healthMonitor) parkIfQuarantined(a *Accelerator, idx int, p *photonic.
 // rounds of in-situ coordinate descent against the probe program, each
 // followed by a verification probe. On success the partition returns to
 // service (back to the pool, or quarantine lifted at the arbiter); on
-// exhaustion it stays quarantined. p is the parked physical partition in
-// pool mode, nil in fabric mode.
-func (hm *healthMonitor) recalibrate(a *Accelerator, idx int, p *photonic.Partition) {
+// exhaustion it stays quarantined.
+func (hm *healthMonitor) recalibrate(a *Accelerator, idx int) {
 	defer hm.wg.Done()
 	inj := a.injectorFor(idx)
 	hm.mu.Lock()
@@ -395,7 +393,7 @@ func (hm *healthMonitor) recalibrate(a *Accelerator, idx int, p *photonic.Partit
 				hm.recals++
 				hm.inService++
 				hm.mu.Unlock()
-				hm.returnToService(a, idx, p)
+				hm.returnToService(a, idx)
 				return
 			}
 			hm.mu.Unlock()
@@ -407,15 +405,16 @@ func (hm *healthMonitor) recalibrate(a *Accelerator, idx int, p *photonic.Partit
 	hm.mu.Unlock()
 }
 
-// returnToService puts a recovered partition back into dispatch.
-func (hm *healthMonitor) returnToService(a *Accelerator, idx int, p *photonic.Partition) {
-	if p != nil {
-		a.pool <- p
-		return
-	}
+// returnToService puts a recovered partition back into dispatch: the
+// arbiter lifts its quarantine in fabric mode, otherwise it rejoins the
+// pool. A partition parked in pool mode blocks AttachFabric (the pool can
+// never fully drain), so the mode cannot change while it recalibrates.
+func (hm *healthMonitor) returnToService(a *Accelerator, idx int) {
 	if fab := a.Fabric(); fab != nil {
 		fab.SetQuarantine(idx, false)
+		return
 	}
+	a.pool <- idx
 }
 
 // FaultInjector returns the injector InjectFaults attached to partition

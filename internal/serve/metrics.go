@@ -203,9 +203,8 @@ type accelSnapshot struct {
 
 	// Compiled propagation-kernel plan accounting (Stats().Kernel).
 	CompileHits      int64 // plans reused from a cached BlockProgram
-	CompileMisses    int64 // plans compiled (first batched use of a program)
+	CompileMisses    int64 // plans compiled (first use of a program, or a fault-corrupted item)
 	CompileEvictions int64 // compiled plans dropped with their evicted programs
-	CompileFallbacks int64 // batched items that fell back to the interpreter
 
 	// Fabric is non-nil when a dynamic fabric arbiter is attached.
 	Fabric *fabricSnapshot
@@ -349,15 +348,12 @@ func (m *metrics) write(w io.Writer, queueDepth, queueCap int, acc accelSnapshot
 	fmt.Fprintf(w, "# HELP flumend_engine_compile_hits_total Compiled propagation plans reused from cached weight programs.\n")
 	fmt.Fprintf(w, "# TYPE flumend_engine_compile_hits_total counter\n")
 	fmt.Fprintf(w, "flumend_engine_compile_hits_total %d\n", acc.CompileHits)
-	fmt.Fprintf(w, "# HELP flumend_engine_compile_misses_total Propagation-plan compilations (first batched use of a weight program).\n")
+	fmt.Fprintf(w, "# HELP flumend_engine_compile_misses_total Propagation-plan compilations (first use of a weight program, or an item on a fault-injected partition).\n")
 	fmt.Fprintf(w, "# TYPE flumend_engine_compile_misses_total counter\n")
 	fmt.Fprintf(w, "flumend_engine_compile_misses_total %d\n", acc.CompileMisses)
 	fmt.Fprintf(w, "# HELP flumend_engine_compile_evictions_total Compiled plans dropped from the cache with their evicted weight programs.\n")
 	fmt.Fprintf(w, "# TYPE flumend_engine_compile_evictions_total counter\n")
 	fmt.Fprintf(w, "flumend_engine_compile_evictions_total %d\n", acc.CompileEvictions)
-	fmt.Fprintf(w, "# HELP flumend_engine_compile_fallbacks_total Work items that bypassed the compiled kernels for the interpreter (fault injection active).\n")
-	fmt.Fprintf(w, "# TYPE flumend_engine_compile_fallbacks_total counter\n")
-	fmt.Fprintf(w, "flumend_engine_compile_fallbacks_total %d\n", acc.CompileFallbacks)
 
 	fmt.Fprintf(w, "# HELP flumend_energy_picojoules_total Accumulated photonic compute energy (Fig. 12b model).\n")
 	fmt.Fprintf(w, "# TYPE flumend_energy_picojoules_total counter\n")

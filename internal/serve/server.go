@@ -288,7 +288,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		CompileHits:      st.Kernel.PlanReuses,
 		CompileMisses:    st.Kernel.PlanCompiles,
 		CompileEvictions: st.Kernel.PlanEvictions,
-		CompileFallbacks: st.Kernel.Fallbacks,
 	}
 	if fs := st.Fabric; fs != nil {
 		snap.Fabric = &fabricSnapshot{

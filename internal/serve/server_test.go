@@ -506,7 +506,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"flumend_engine_compile_hits_total",
 		"flumend_engine_compile_misses_total",
 		"flumend_engine_compile_evictions_total",
-		"flumend_engine_compile_fallbacks_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
