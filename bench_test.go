@@ -463,6 +463,20 @@ func BenchmarkFullSystemJPEG(b *testing.B) {
 	}
 }
 
+// BenchmarkRunSuite measures the paper-scale suite behind Figs 13-15: five
+// benchmarks on five topologies, the same work as perfbench's paper-suite
+// workload. Allocations per suite are deterministic up to goroutine
+// scheduling of the 25 simulations.
+func BenchmarkRunSuite(b *testing.B) {
+	b.ReportAllocs()
+	cfg := DefaultConfig()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunSuite(cfg, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Engine benches (parallel compute engine & program cache) ---
 
 // BenchmarkEngineMatMul measures the accelerator's MatMul at 64×64 and

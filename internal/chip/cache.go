@@ -15,10 +15,12 @@ type Cache struct {
 	sets     int
 	ways     int
 	lineBits uint
-	// tags[set][way]; valid when != 0 (tag stores line address + 1).
-	tags [][]uint64
-	// lruTick[set][way]: larger is more recent.
-	lruTick [][]int64
+	// tags[set*ways+way]; valid when != 0 (tag stores line address + 1).
+	// One flat array per cache keeps construction at a constant number of
+	// allocations whatever the geometry.
+	tags []uint64
+	// lruTick[set*ways+way]: larger is more recent.
+	lruTick []int64
 	tick    int64
 
 	Accesses int64
@@ -40,12 +42,8 @@ func NewCache(capacityBytes, ways, lineBytes int) *Cache {
 	for lb := lineBytes; lb > 1; lb >>= 1 {
 		c.lineBits++
 	}
-	c.tags = make([][]uint64, sets)
-	c.lruTick = make([][]int64, sets)
-	for s := range c.tags {
-		c.tags[s] = make([]uint64, ways)
-		c.lruTick[s] = make([]int64, ways)
-	}
+	c.tags = make([]uint64, sets*ways)
+	c.lruTick = make([]int64, sets*ways)
 	return c
 }
 
@@ -60,35 +58,39 @@ func (c *Cache) Ways() int { return c.ways }
 func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	c.tick++
-	line := addr >> c.lineBits
-	set := int(line % uint64(c.sets))
-	key := line + 1
-	for w, t := range c.tags[set] {
+	tags, lru, key := c.set(addr)
+	for w, t := range tags {
 		if t == key {
-			c.lruTick[set][w] = c.tick
+			lru[w] = c.tick
 			return true
 		}
 	}
 	c.Misses++
 	// Evict LRU way.
 	victim := 0
-	for w := 1; w < c.ways; w++ {
-		if c.lruTick[set][w] < c.lruTick[set][victim] {
+	for w := 1; w < len(lru); w++ {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
-	c.tags[set][victim] = key
-	c.lruTick[set][victim] = c.tick
+	tags[victim] = key
+	lru[victim] = c.tick
 	return false
+}
+
+// set returns the tag and LRU ways of the set holding addr, and the tag
+// the line would carry.
+func (c *Cache) set(addr uint64) (tags []uint64, lru []int64, key uint64) {
+	line := addr >> c.lineBits
+	base := int(line%uint64(c.sets)) * c.ways
+	return c.tags[base : base+c.ways], c.lruTick[base : base+c.ways], line + 1
 }
 
 // Probe reports whether the line containing addr is present without
 // updating state or counters.
 func (c *Cache) Probe(addr uint64) bool {
-	line := addr >> c.lineBits
-	set := int(line % uint64(c.sets))
-	key := line + 1
-	for _, t := range c.tags[set] {
+	tags, _, key := c.set(addr)
+	for _, t := range tags {
 		if t == key {
 			return true
 		}
@@ -98,12 +100,8 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for s := range c.tags {
-		for w := range c.tags[s] {
-			c.tags[s][w] = 0
-			c.lruTick[s][w] = 0
-		}
-	}
+	clear(c.tags)
+	clear(c.lruTick)
 	c.tick, c.Accesses, c.Misses = 0, 0, 0
 }
 

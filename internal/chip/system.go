@@ -1,8 +1,8 @@
 package chip
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
 	"flumen/internal/noc"
 )
@@ -97,10 +97,26 @@ type System struct {
 	events    eventHeap
 	recurring []*recurringEvent
 	pktID     int64
-	sendQ     [][]*noc.Packet // per-node packets awaiting injection
-	cbs       map[int64]func(int64)
-	mcFree    map[int]int64 // per-memory-controller next-free cycle
-	inFlight  int
+	sendQ     []fifo[*noc.Packet] // per-node packets awaiting injection
+	queued    int                 // packets across sendQ
+	// pending holds what runs on the arrival of each packet from ID
+	// pendingBase on, in ID order; arrived entries leave from the front.
+	pending     fifo[delivery]
+	pendingBase int64
+	mcFree      []int64 // per-chiplet memory-controller next-free cycle
+	inFlight    int
+	freeTxn     *lineTxn // pool of finished line transactions
+
+	// nDone and nBarrier count the cores that have finished and that wait
+	// at a barrier, so the per-cycle termination and barrier checks do not
+	// scan the cores.
+	nDone    int
+	nBarrier int
+	// wake[i] is the cycle from which core i can issue: its readyAt while
+	// it is neither finished, blocked on memory or an offload, nor waiting
+	// at a barrier, and never otherwise. The per-cycle core scan reads
+	// this array instead of every core's state.
+	wake []int64
 
 	stats    Stats
 	samples  []float64
@@ -169,9 +185,20 @@ type Stats struct {
 	Net noc.Counters
 }
 
+// event is a scheduled action: fn, or when fn is nil, the next step of a
+// line transaction.
 type event struct {
-	at int64
-	fn func()
+	at  int64
+	fn  func()
+	txn *lineTxn
+}
+
+// delivery is what runs when a packet sent by SendPacket arrives: fn, or
+// when fn is nil, the next step of a line transaction (nil for neither).
+type delivery struct {
+	fn      func(int64)
+	txn     *lineTxn
+	arrived bool
 }
 
 // recurringEvent fires every period cycles for the lifetime of the run; it
@@ -183,13 +210,51 @@ type recurringEvent struct {
 	fn     func()
 }
 
+// eventHeap is a binary min-heap of events ordered by at. The heap is not
+// stable: events due on the same cycle fire in an order fixed by the
+// sequence of pushes and pops. push and pop repeat container/heap's
+// sift-up and sift-down step for step, so that order, and with it every
+// simulated result, is the one container/heap gives, without boxing each
+// event in an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	j := len(q) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || q[j].at >= q[i].at {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].at < q[j].at {
+			j = r
+		}
+		if q[j].at >= q[i].at {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	e := q[n]
+	q[n] = event{}
+	*h = q[:n]
+	return e
+}
 
 // NewSystem builds a system over the given network. The network must have
 // one endpoint per chiplet.
@@ -203,9 +268,9 @@ func NewSystem(cfg Config, net noc.Network) *System {
 	s := &System{
 		cfg:    cfg,
 		net:    net,
-		cbs:    make(map[int64]func(int64)),
-		mcFree: make(map[int]int64),
-		sendQ:  make([][]*noc.Packet, cfg.Chiplets),
+		mcFree: make([]int64, cfg.Chiplets),
+		sendQ:  make([]fifo[*noc.Packet], cfg.Chiplets),
+		wake:   make([]int64, cfg.Cores),
 	}
 	if cfg.CyclesPerMAC < 1 {
 		s.cfg.CyclesPerMAC = 1
@@ -255,10 +320,14 @@ func (s *System) ChargeDRAM(linesFetched int) {
 
 // ScheduleEvent runs fn at the given absolute cycle (≥ now).
 func (s *System) ScheduleEvent(at int64, fn func()) {
-	if at < s.now {
-		at = s.now
+	s.schedule(event{at: at, fn: fn})
+}
+
+func (s *System) schedule(e event) {
+	if e.at < s.now {
+		e.at = s.now
 	}
-	heap.Push(&s.events, event{at: at, fn: fn})
+	s.events.push(e)
 }
 
 // ScheduleRecurring runs fn every period cycles until the run ends.
@@ -274,28 +343,46 @@ func (s *System) ScheduleRecurring(period int64, fn func()) {
 // both internally (memory traffic) and by the Flumen control unit (operand
 // and result streaming).
 func (s *System) SendPacket(p *noc.Packet, onDeliver func(now int64)) {
+	s.send(p, delivery{fn: onDeliver})
+}
+
+func (s *System) send(p *noc.Packet, d delivery) {
 	p.ID = s.pktID
 	s.pktID++
-	if onDeliver != nil {
-		s.cbs[p.ID] = onDeliver
-	}
+	s.pending.push(d)
 	s.inFlight++
-	s.sendQ[p.Src] = append(s.sendQ[p.Src], p)
+	s.queued++
+	s.sendQ[p.Src].push(p)
 }
 
 // onDeliver dispatches delivered packets to their callbacks.
 func (s *System) onDeliver(p *noc.Packet, now int64) {
 	s.inFlight--
-	if cb, ok := s.cbs[p.ID]; ok {
-		delete(s.cbs, p.ID)
-		cb(now)
+	i := p.ID - s.pendingBase
+	if i < 0 || i >= int64(s.pending.len()) {
+		return
+	}
+	d := s.pending.at(int(i))
+	if d.arrived {
+		return
+	}
+	fn, t := d.fn, d.txn
+	*d = delivery{arrived: true}
+	for s.pending.len() > 0 && s.pending.at(0).arrived {
+		s.pending.pop()
+		s.pendingBase++
+	}
+	if fn != nil {
+		fn(now)
+	} else if t != nil {
+		s.advance(t, now)
 	}
 }
 
 // Run executes all op streams to completion and returns the statistics.
 func (s *System) Run() Stats {
 	for {
-		if s.allDone() && s.inFlight == 0 && len(s.events) == 0 {
+		if s.nDone == len(s.cores) && s.inFlight == 0 && len(s.events) == 0 {
 			break
 		}
 		if s.now >= s.cfg.MaxCycles {
@@ -304,8 +391,12 @@ func (s *System) Run() Stats {
 		s.now++
 		// Fire due events.
 		for len(s.events) > 0 && s.events[0].at <= s.now {
-			e := heap.Pop(&s.events).(event)
-			e.fn()
+			e := s.events.pop()
+			if e.fn != nil {
+				e.fn()
+			} else {
+				s.advance(e.txn, s.now)
+			}
 		}
 		for _, r := range s.recurring {
 			if r.next <= s.now {
@@ -316,16 +407,13 @@ func (s *System) Run() Stats {
 		// Barrier release.
 		s.releaseBarrier()
 		// Advance cores.
-		for _, c := range s.cores {
-			s.stepCore(c)
-		}
-		// Inject queued packets.
-		for node := range s.sendQ {
-			q := s.sendQ[node]
-			for len(q) > 0 && s.net.Inject(q[0], s.now) {
-				q = q[1:]
+		for i, w := range s.wake {
+			if w <= s.now {
+				s.stepCore(s.cores[i])
 			}
-			s.sendQ[node] = q
+		}
+		if s.queued > 0 {
+			s.inject()
 		}
 		s.net.Step(s.now)
 		s.sampleUtilization()
@@ -334,16 +422,56 @@ func (s *System) Run() Stats {
 	return s.collect()
 }
 
+// inject offers each node's queued packets to the network in order until
+// the network refuses one.
+func (s *System) inject() {
+	for node := range s.sendQ {
+		q := &s.sendQ[node]
+		for q.len() > 0 && s.net.Inject(*q.at(0), s.now) {
+			q.pop()
+			s.queued--
+		}
+	}
+}
+
+// fifo is a first-in first-out queue that keeps its backing array: taking
+// from the front advances head, and a push into a full array first moves
+// the live entries down. Once grown to its largest backlog it stops
+// allocating.
+type fifo[T any] struct {
+	buf  []T
+	head int // buf[:head] has been taken
+}
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// at returns the i-th entry from the front.
+func (q *fifo[T]) at(i int) *T { return &q.buf[q.head+i] }
+
+// pop drops the front entry.
+func (q *fifo[T]) pop() {
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
 // fastForward jumps over quiescent stretches: no packets in flight, no
 // pending sends, no events earlier than the next core wake-up.
 func (s *System) fastForward() {
-	if s.inFlight > 0 {
+	if s.inFlight > 0 || s.queued > 0 {
 		return
-	}
-	for _, q := range s.sendQ {
-		if len(q) > 0 {
-			return
-		}
 	}
 	next := int64(1 << 62)
 	for _, c := range s.cores {
@@ -370,33 +498,26 @@ func (s *System) fastForward() {
 	}
 }
 
-func (s *System) allDone() bool {
-	for _, c := range s.cores {
-		if !c.done {
-			return false
-		}
-	}
-	return true
-}
-
+// releaseBarrier lets the cores waiting at a barrier go once every core
+// has either arrived there or finished. A core at a barrier cannot finish,
+// so the two counts never overlap.
 func (s *System) releaseBarrier() {
-	arrived := 0
-	waiting := 0
-	for _, c := range s.cores {
-		if c.done {
-			arrived++
-			continue
-		}
-		if c.atBarrier {
-			arrived++
-			waiting++
-		}
-	}
-	if waiting > 0 && arrived == len(s.cores) {
+	if s.nBarrier > 0 && s.nDone+s.nBarrier == len(s.cores) {
 		for _, c := range s.cores {
 			c.atBarrier = false
+			s.setWake(c)
 		}
+		s.nBarrier = 0
 	}
+}
+
+// setWake refreshes wake for c after its issue state changed.
+func (s *System) setWake(c *coreState) {
+	w := int64(math.MaxInt64)
+	if !c.done && c.blockedOn == 0 && !c.offload && !c.atBarrier {
+		w = c.readyAt
+	}
+	s.wake[c.id] = w
 }
 
 func (s *System) stepCore(c *coreState) {
@@ -406,7 +527,8 @@ func (s *System) stepCore(c *coreState) {
 			if !ok {
 				c.done = true
 				c.doneAt = s.now
-				return
+				s.nDone++
+				break
 			}
 			c.cur = op
 			c.curValid = true
@@ -416,6 +538,7 @@ func (s *System) stepCore(c *coreState) {
 		}
 		s.execOp(c)
 	}
+	s.setWake(c)
 }
 
 func (s *System) execOp(c *coreState) {
@@ -450,6 +573,7 @@ func (s *System) execOp(c *coreState) {
 		s.execBlock(c)
 	case KindBarrier:
 		c.atBarrier = true
+		s.nBarrier++
 		c.curValid = false
 	case KindOffload:
 		s.stats.OffloadsRequested++
@@ -461,6 +585,7 @@ func (s *System) execOp(c *coreState) {
 			c.offload = false
 			c.readyAt = s.now
 			c.offloadStallCycles += s.now - c.offloadBlockedSince
+			s.setWake(c)
 		})
 		c.curValid = false
 		if accepted {
@@ -528,74 +653,127 @@ func (s *System) execBlock(c *coreState) {
 	c.curValid = false
 }
 
-// launchLineTxn issues the request/response packet chain for one line.
-func (s *System) launchLineTxn(c *coreState, addr uint64) {
-	cfg := s.cfg
-	line := addr / uint64(cfg.LineBytes)
-	home := int(line % uint64(cfg.Chiplets))
-	c.blockedOn++
+// lineTxn is one line transaction beyond L2: the request to the L3 home
+// slice, on an L3 miss a forward to the nearest memory controller and the
+// DRAM access, then the data response back to the core. The legs run one
+// after another, so a single record, with a single packet, carries the
+// whole transaction; finished records are pooled.
+type lineTxn struct {
+	c    *coreState
+	addr uint64
+	home int // L3 home chiplet
+	src  int // where the pending response leg starts
+	mc   int
+	step txnStep // what runs when the pending event fires or packet arrives
+	pkt  noc.Packet
+	next *lineTxn // free list
+}
 
+type txnStep uint8
+
+const (
+	txnL3      txnStep = iota // look the line up in the home L3 slice
+	txnForward                // send the miss on to the memory controller
+	txnDRAM                   // queue for the memory controller's channel
+	txnReturn                 // the DRAM access is done: respond from the controller
+	txnRespond                // send the data response to the core
+	txnFinish                 // the data has reached the core
+)
+
+// launchLineTxn issues the request/response chain for one line.
+func (s *System) launchLineTxn(c *coreState, addr uint64) {
+	line := addr / uint64(s.cfg.LineBytes)
+	home := int(line % uint64(s.cfg.Chiplets))
 	if c.blockedOn == 0 {
 		c.memBlockedSince = s.now
 	}
-	finish := func(now int64) {
+	c.blockedOn++
+
+	t := s.freeTxn
+	if t != nil {
+		s.freeTxn = t.next
+	} else {
+		t = new(lineTxn)
+	}
+	*t = lineTxn{c: c, addr: addr, home: home, step: txnL3}
+	if home == c.chiplet {
+		s.schedule(event{at: s.now + 1, txn: t})
+		return
+	}
+	s.sendTxn(t, c.chiplet, home, s.cfg.ReqBits)
+}
+
+// sendTxn sends a transaction's next leg as a packet; its pending step
+// runs on delivery.
+func (s *System) sendTxn(t *lineTxn, src, dst, bits int) {
+	t.pkt = noc.Packet{Src: src, Dst: dst, Bits: bits}
+	s.send(&t.pkt, delivery{txn: t})
+}
+
+// advance runs a transaction's pending step at cycle now.
+func (s *System) advance(t *lineTxn, now int64) {
+	cfg := &s.cfg
+	switch t.step {
+	case txnL3:
+		hit := s.l3[t.home].Access(t.addr)
+		after := now + cfg.L3HitCycles
+		if hit {
+			s.respond(t, t.home, after)
+			return
+		}
+		// DRAM: forward to the nearest memory controller. Each channel has
+		// finite bandwidth: one line per DRAMServiceCycles.
+		t.mc = s.nearestMC(t.home)
+		s.stats.DRAMAccesses++
+		if t.mc == t.home {
+			t.step = txnDRAM
+			s.advance(t, after)
+			return
+		}
+		// Forward to the controller after the L3 lookup latency.
+		t.step = txnForward
+		s.schedule(event{at: after, txn: t})
+	case txnForward:
+		t.step = txnDRAM
+		s.sendTxn(t, t.home, t.mc, cfg.ReqBits)
+	case txnDRAM:
+		start := now
+		if s.mcFree[t.mc] > start {
+			start = s.mcFree[t.mc]
+		}
+		s.mcFree[t.mc] = start + cfg.DRAMServiceCycles
+		t.step = txnReturn
+		s.schedule(event{at: start + cfg.DRAMCycles, txn: t})
+	case txnReturn:
+		s.respond(t, t.mc, now)
+	case txnRespond:
+		t.step = txnFinish
+		s.sendTxn(t, t.src, t.c.chiplet, cfg.RespBits)
+	case txnFinish:
+		c := t.c
 		c.blockedOn--
 		if c.blockedOn == 0 {
 			if c.readyAt < now {
 				c.readyAt = now
 			}
 			c.memStallCycles += now - c.memBlockedSince
+			s.setWake(c)
 		}
+		*t = lineTxn{next: s.freeTxn}
+		s.freeTxn = t
 	}
-
-	l3Access := func(now int64) {
-		hit := s.l3[home].Access(addr)
-		after := now + cfg.L3HitCycles
-		if hit {
-			s.respond(home, c.chiplet, after, finish)
-			return
-		}
-		// DRAM: forward to the nearest memory controller. Each channel has
-		// finite bandwidth: one line per DRAMServiceCycles.
-		mc := s.nearestMC(home)
-		s.stats.DRAMAccesses++
-		dram := func(now2 int64) {
-			start := now2
-			if s.mcFree[mc] > start {
-				start = s.mcFree[mc]
-			}
-			s.mcFree[mc] = start + cfg.DRAMServiceCycles
-			s.ScheduleEvent(start+cfg.DRAMCycles, func() {
-				s.respond(mc, c.chiplet, s.now, finish)
-			})
-		}
-		if mc == home {
-			dram(after)
-			return
-		}
-		// Forward to the controller after the L3 lookup latency.
-		s.ScheduleEvent(after, func() {
-			s.SendPacket(&noc.Packet{Src: home, Dst: mc, Bits: cfg.ReqBits}, dram)
-		})
-	}
-
-	if home == c.chiplet {
-		s.ScheduleEvent(s.now+1, func() { l3Access(s.now) })
-		return
-	}
-	s.SendPacket(&noc.Packet{Src: c.chiplet, Dst: home, Bits: cfg.ReqBits}, l3Access)
 }
 
-// respond sends a data packet from src to dst (or completes locally) after
-// the given time, then invokes fin.
-func (s *System) respond(src, dst int, at int64, fin func(now int64)) {
-	if src == dst {
-		s.ScheduleEvent(at, func() { fin(s.now) })
-		return
+// respond returns the line's data from src to the core (or completes
+// locally) after the given time.
+func (s *System) respond(t *lineTxn, src int, at int64) {
+	if src == t.c.chiplet {
+		t.step = txnFinish
+	} else {
+		t.src = src
+		t.step = txnRespond
 	}
-	s.ScheduleEvent(at, func() {
-		s.SendPacket(&noc.Packet{Src: src, Dst: dst, Bits: s.cfg.RespBits}, fin)
-	})
+	s.schedule(event{at: at, txn: t})
 }
 
 func (s *System) nearestMC(chiplet int) int {

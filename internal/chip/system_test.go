@@ -189,16 +189,25 @@ func TestStallAttribution(t *testing.T) {
 		s.ScheduleEvent(now+500, done)
 		return true
 	})
+	// One cold line homed on chiplet 1. Core 0 (chiplet 0) issues the load
+	// at cycle 1 and blocks; the L3 misses and the line comes from the
+	// memory controller on chiplet 0, whose local response completes at
+	// some cycle F. The core issues the offload in that same cycle, stalls
+	// 500 cycles and retires, so the run lasts F+500 cycles.
 	s.SetStream(0, NewSliceStream([]Op{
-		{Kind: KindLoadBlock, Addr: 1 << 22, Lines: 64}, // cold: memory stall
-		{Kind: KindOffload, Job: "j"},                   // 500-cycle offload stall
+		{Kind: KindLoadBlock, Addr: 1 << 6, Lines: 1},
+		{Kind: KindOffload, Job: "j"},
 	}))
 	st := s.Run()
-	if st.MemStallCycles <= 0 {
-		t.Fatalf("no memory stall recorded: %+v", st)
+	if st.OffloadStallCycles != 500 {
+		t.Fatalf("offload stall %d, want 500", st.OffloadStallCycles)
 	}
-	if st.OffloadStallCycles < 450 || st.OffloadStallCycles > 600 {
-		t.Fatalf("offload stall %d, want ≈500", st.OffloadStallCycles)
+	// The memory stall spans the load's issue (cycle 1) to F.
+	if want := st.Cycles - 500 - 1; st.MemStallCycles != want {
+		t.Fatalf("memory stall %d cycles, want %d (run of %d cycles)", st.MemStallCycles, want, st.Cycles)
+	}
+	if st.MemStallCycles != 284 {
+		t.Fatalf("memory stall %d cycles, want 284", st.MemStallCycles)
 	}
 }
 

@@ -15,14 +15,24 @@ type elecNet struct {
 	routerLatency int64
 	injectCap     int
 
-	links    []*elecLink
-	outLinks [][]int // outLinks[node] = indices of links leaving node
-	// route returns the link index to take from cur toward dst, or -1 for
-	// local delivery.
-	route func(cur, dst int) int
+	links []elecLink
+	// next[cur*nodes+dst] is the link index to take from cur toward dst,
+	// or -1 for local delivery.
+	next []int
 
-	injectQ  [][]*Packet
-	feeders  [][]feeder // cached per-node candidate queues
+	injectQ [][]*Packet
+	feeders [][]feeder // per-node candidate queues
+	// waiting[node] counts the packets queued at a router: its injection
+	// queue plus the input buffers of its incoming links. A router with
+	// none has nothing to transmit, so its outgoing links are skipped.
+	waiting []int
+	// inNet counts packets anywhere in the network (queued or in flight);
+	// Step does nothing while it is zero. flying and buffered count the
+	// packets on links and in link input buffers, so the landing and
+	// ejection passes are skipped when they have nothing to do.
+	inNet    int
+	flying   int
+	buffered int
 	sink     func(*Packet, int64)
 	counters Counters
 }
@@ -52,17 +62,37 @@ func newElecNet(name string, nodes, widthBits, bufPkts, injectCap int, routerLat
 	n := &elecNet{
 		name: name, nodes: nodes, widthBits: widthBits, bufPkts: bufPkts,
 		routerLatency: routerLatency, injectCap: injectCap,
-		outLinks: make([][]int, nodes),
-		injectQ:  make([][]*Packet, nodes),
+		injectQ: make([][]*Packet, nodes),
+		waiting: make([]int, nodes),
 	}
 	return n
 }
 
+// setRoute tabulates the deterministic routing function (the link index
+// to take from cur toward dst, or -1 for local delivery) and the feeder
+// queues of every router. It runs once, after all links are added.
+func (n *elecNet) setRoute(route func(cur, dst int) int) {
+	n.next = make([]int, n.nodes*n.nodes)
+	for cur := 0; cur < n.nodes; cur++ {
+		for dst := 0; dst < n.nodes; dst++ {
+			n.next[cur*n.nodes+dst] = route(cur, dst)
+		}
+	}
+	n.feeders = make([][]feeder, n.nodes)
+	for v := 0; v < n.nodes; v++ {
+		fs := []feeder{{q: &n.injectQ[v]}}
+		for i := range n.links {
+			if l := &n.links[i]; l.to == v {
+				fs = append(fs, feeder{q: &l.queue, srcLink: l})
+			}
+		}
+		n.feeders[v] = fs
+	}
+}
+
 func (n *elecNet) addLink(from, to int) int {
-	idx := len(n.links)
-	n.links = append(n.links, &elecLink{from: from, to: to, credits: n.bufPkts})
-	n.outLinks[from] = append(n.outLinks[from], idx)
-	return idx
+	n.links = append(n.links, elecLink{from: from, to: to, credits: n.bufPkts})
+	return len(n.links) - 1
 }
 
 func (n *elecNet) Name() string { return n.name }
@@ -86,11 +116,14 @@ func (n *elecNet) Inject(p *Packet, now int64) bool {
 	}
 	p.InjectCycle = now
 	n.injectQ[p.Src] = append(n.injectQ[p.Src], p)
+	n.waiting[p.Src]++
+	n.inNet++
 	n.counters.InjectedPackets++
 	return true
 }
 
 func (n *elecNet) deliver(p *Packet, now int64) {
+	n.inNet--
 	p.RecvCycle = now
 	n.counters.DeliveredPackets++
 	if n.sink != nil {
@@ -98,36 +131,29 @@ func (n *elecNet) deliver(p *Packet, now int64) {
 	}
 }
 
-// feederQueues returns the candidate packet queues at a node: the
-// injection queue plus every incoming link buffer (cached after first use).
-func (n *elecNet) feederQueues(node int) []feeder {
-	if n.feeders == nil {
-		n.feeders = make([][]feeder, n.nodes)
-		for v := 0; v < n.nodes; v++ {
-			fs := []feeder{{q: &n.injectQ[v]}}
-			for _, l := range n.links {
-				if l.to == v {
-					fs = append(fs, feeder{q: &l.queue, srcLink: l})
-				}
-			}
-			n.feeders[v] = fs
-		}
-	}
-	return n.feeders[node]
-}
-
 func (n *elecNet) Step(now int64) {
+	if n.inNet == 0 {
+		return
+	}
 	// 1. Land in-flight packets into downstream buffers (slots were
 	// reserved at send time).
-	for _, l := range n.links {
+	for i := 0; i < len(n.links) && n.flying > 0; i++ {
+		l := &n.links[i]
+		if len(l.arrivals) == 0 {
+			continue
+		}
 		kept := l.arrivals[:0]
 		for _, a := range l.arrivals {
 			if a.at <= now {
 				l.queue = append(l.queue, a.p)
+				n.waiting[l.to]++
+				n.flying--
+				n.buffered++
 			} else {
 				kept = append(kept, a)
 			}
 		}
+		clear(l.arrivals[len(kept):])
 		l.arrivals = kept
 	}
 	// 2. Eject packets that have reached their destination.
@@ -135,25 +161,30 @@ func (n *elecNet) Step(now int64) {
 		// Injection queue heads destined to self.
 		if len(n.injectQ[node]) > 0 && n.injectQ[node][0].Dst == node {
 			p := n.injectQ[node][0]
-			n.injectQ[node] = n.injectQ[node][1:]
+			n.injectQ[node] = removeAt(n.injectQ[node], 0)
+			n.waiting[node]--
 			n.deliver(p, now)
 		}
 	}
-	for _, l := range n.links {
+	for i := 0; i < len(n.links) && n.buffered > 0; i++ {
+		l := &n.links[i]
 		if len(l.queue) > 0 && l.queue[0].Dst == l.to {
 			p := l.queue[0]
-			l.queue = l.queue[1:]
+			l.queue = removeAt(l.queue, 0)
 			l.credits++
+			n.waiting[l.to]--
+			n.buffered--
 			n.deliver(p, now)
 		}
 	}
 	// 3. Transmit: each free link picks one waiting packet (round-robin
 	// over the feeder queues of its upstream router).
-	for li, l := range n.links {
-		if l.busyUntil > now || l.credits <= 0 {
+	for li := range n.links {
+		l := &n.links[li]
+		if l.busyUntil > now || l.credits <= 0 || n.waiting[l.from] == 0 {
 			continue
 		}
-		feeders := n.feederQueues(l.from)
+		feeders := n.feeders[l.from]
 		for k := 0; k < len(feeders); k++ {
 			qi := (l.rrPtr + k) % len(feeders)
 			f := feeders[qi]
@@ -161,7 +192,7 @@ func (n *elecNet) Step(now int64) {
 				continue
 			}
 			p := (*f.q)[0]
-			if n.route(l.from, p.Dst) != li {
+			if n.next[l.from*n.nodes+p.Dst] != li {
 				continue
 			}
 			// Bubble rule: packets entering the network from the injection
@@ -171,15 +202,18 @@ func (n *elecNet) Step(now int64) {
 			if injecting && l.credits < 2 {
 				continue
 			}
-			*f.q = (*f.q)[1:]
+			*f.q = removeAt(*f.q, 0)
+			n.waiting[l.from]--
 			if !injecting {
 				// Free the slot in the buffer the packet came from.
 				f.srcLink.credits++
+				n.buffered--
 			}
 			ser := serCycles(p.Bits, n.widthBits)
 			l.busyUntil = now + ser
 			l.credits--
 			l.arrivals = append(l.arrivals, arrival{p: p, at: now + ser + n.routerLatency})
+			n.flying++
 			n.counters.BitHops += int64(p.Bits)
 			n.counters.LinkBusyCycles += ser
 			l.rrPtr = (qi + 1) % len(feeders)
@@ -204,7 +238,7 @@ func NewRing(nodes, widthBits, bufPkts int) Network {
 	for i := 0; i < nodes; i++ {
 		ccw[i] = n.addLink(i, (i-1+nodes)%nodes)
 	}
-	n.route = func(cur, dst int) int {
+	n.setRoute(func(cur, dst int) int {
 		if cur == dst {
 			return -1
 		}
@@ -213,7 +247,7 @@ func NewRing(nodes, widthBits, bufPkts int) Network {
 			return cw[cur]
 		}
 		return ccw[cur]
-	}
+	})
 	return n
 }
 
@@ -243,7 +277,7 @@ func NewMesh(rows, cols, widthBits, bufPkts int) Network {
 			}
 		}
 	}
-	n.route = func(cur, dst int) int {
+	n.setRoute(func(cur, dst int) int {
 		if cur == dst {
 			return -1
 		}
@@ -260,6 +294,6 @@ func NewMesh(rows, cols, widthBits, bufPkts int) Network {
 			return dl[cur].no
 		}
 		panic(fmt.Sprintf("noc: mesh routing stuck at %d toward %d", cur, dst))
-	}
+	})
 	return n
 }

@@ -25,10 +25,11 @@ type MZIMNet struct {
 	lookahead int
 
 	// Scratch buffers reused across cycles.
-	req         [][]bool
+	cells       []Cell
 	busyRow     []bool
 	busyCol     []bool
 	queued      int // total queued packets (skip arbitration when zero)
+	mcQueued    int // queued multicast packets (skip the multicast pass when zero)
 	active      int // active connections
 	injectedNow int // packets injected since the last CycleTelemetry read
 
@@ -66,10 +67,6 @@ func NewMZIM(nodes, widthBits int, setupCycles int64) *MZIMNet {
 	}
 	for i := range m.portOK {
 		m.portOK[i] = true
-	}
-	m.req = make([][]bool, nodes)
-	for i := range m.req {
-		m.req[i] = make([]bool, nodes)
 	}
 	m.busyRow = make([]bool, nodes)
 	m.busyCol = make([]bool, nodes)
@@ -126,6 +123,9 @@ func (m *MZIMNet) Inject(p *Packet, now int64) bool {
 	p.InjectCycle = now
 	m.queues[p.Src] = append(m.queues[p.Src], p)
 	m.queued++
+	if p.Multicast != nil {
+		m.mcQueued++
+	}
 	m.injectedNow++
 	m.counters.InjectedPackets++
 	return true
@@ -141,14 +141,20 @@ func (m *MZIMNet) CycleTelemetry() (injected, queued int) {
 	return injected, m.queued
 }
 
+// deliver hands a transfer to the sink at one destination. A unicast
+// packet is delivered itself; each destination of a multicast receives its
+// own unicast copy.
 func (m *MZIMNet) deliver(p *Packet, dst int, now int64) {
-	dp := *p
-	dp.Dst = dst
-	dp.Multicast = nil
-	dp.RecvCycle = now
+	if p.Multicast != nil {
+		dp := *p
+		dp.Dst = dst
+		dp.Multicast = nil
+		p = &dp
+	}
+	p.RecvCycle = now
 	m.counters.DeliveredPackets++
 	if m.sink != nil {
-		m.sink(&dp, now)
+		m.sink(p, now)
 	}
 }
 
@@ -175,7 +181,7 @@ func (m *MZIMNet) Step(now int64) {
 	}
 	// 2. Grant multicast/broadcast heads first: a multicast needs every
 	// destination port simultaneously (physical splitting tree).
-	for k := 0; k < m.nodes; k++ {
+	for k := 0; k < m.nodes && m.mcQueued > 0; k++ {
 		s := (m.rrMC + k) % m.nodes
 		if m.conns[s].active || !m.portOK[s] || len(m.queues[s]) == 0 {
 			continue
@@ -194,9 +200,10 @@ func (m *MZIMNet) Step(now int64) {
 		if !ok {
 			continue
 		}
-		m.queues[s] = m.queues[s][1:]
+		m.queues[s] = removeAt(m.queues[s], 0)
 		m.queued--
-		m.establish(s, append([]int(nil), p.Multicast...), p, now)
+		m.mcQueued--
+		m.establish(s, p, now)
 		m.rrMC = (s + 1) % m.nodes
 	}
 	// 3. Wavefront arbitration for unicast heads, with request-buffer
@@ -204,12 +211,8 @@ func (m *MZIMNet) Step(now int64) {
 	// per endpoint, relieving FIFO head-of-line blocking when the head's
 	// destination is busy.
 	lookahead := m.lookahead
-	anyReq := false
+	cells := m.cells[:0]
 	for s := 0; s < m.nodes; s++ {
-		row := m.req[s]
-		for d := range row {
-			row[d] = false
-		}
 		m.busyRow[s] = m.conns[s].active || !m.portOK[s]
 		if m.busyRow[s] || len(m.queues[s]) == 0 {
 			continue
@@ -223,18 +226,18 @@ func (m *MZIMNet) Step(now int64) {
 				break // do not reorder around a multicast
 			}
 			if m.portOK[p.Dst] {
-				row[p.Dst] = true
-				anyReq = true
+				cells = append(cells, Cell{Src: s, Dst: p.Dst})
 			}
 		}
 	}
-	if !anyReq {
+	m.cells = cells
+	if len(cells) == 0 {
 		return
 	}
 	for d := 0; d < m.nodes; d++ {
 		m.busyCol[d] = m.dstBusy[d] || !m.portOK[d]
 	}
-	grants := m.arb.Arbitrate(m.req, m.busyRow, m.busyCol)
+	grants := m.arb.ArbitrateCells(cells, m.busyRow, m.busyCol)
 	for s, d := range grants {
 		if d < 0 {
 			continue
@@ -242,16 +245,18 @@ func (m *MZIMNet) Step(now int64) {
 		for k := 0; k < lookahead && k < len(m.queues[s]); k++ {
 			if m.queues[s][k].Dst == d && m.queues[s][k].Multicast == nil {
 				p := m.queues[s][k]
-				m.queues[s] = append(m.queues[s][:k], m.queues[s][k+1:]...)
+				m.queues[s] = removeAt(m.queues[s], k)
 				m.queued--
-				m.establish(s, []int{d}, p, now)
+				m.establish(s, p, now)
 				break
 			}
 		}
 	}
 }
 
-func (m *MZIMNet) establish(src int, dsts []int, p *Packet, now int64) {
+// establish programs a path from src to the packet's destinations (every
+// multicast drop, or the unicast Dst) and starts the transfer.
+func (m *MZIMNet) establish(src int, p *Packet, now int64) {
 	ser := serCycles(p.Bits, m.widthBits)
 	setup := m.setupCycles
 	if now <= m.conns[src].lastDoneAt+1 {
@@ -259,15 +264,16 @@ func (m *MZIMNet) establish(src int, dsts []int, p *Packet, now int64) {
 		// while the previous transfer drained.
 		setup = 0
 	}
-	last := m.conns[src].lastDoneAt
-	m.conns[src] = mzimConn{
-		active:     true,
-		dsts:       dsts,
-		doneAt:     now + setup + ser,
-		p:          p,
-		lastDoneAt: last,
+	c := &m.conns[src]
+	c.active = true
+	c.doneAt = now + setup + ser
+	c.p = p
+	if p.Multicast != nil {
+		c.dsts = append(c.dsts[:0], p.Multicast...)
+	} else {
+		c.dsts = append(c.dsts[:0], p.Dst)
 	}
-	for _, d := range dsts {
+	for _, d := range c.dsts {
 		m.dstBusy[d] = true
 	}
 	m.active++

@@ -85,3 +85,11 @@ func validatePacket(p *Packet, nodes int) {
 func serCycles(bits, widthBits int) int64 {
 	return int64((bits + widthBits - 1) / widthBits)
 }
+
+// removeAt deletes q[k] in place, keeping the backing array so that a
+// bounded queue stops allocating once it has reached its capacity.
+func removeAt(q []*Packet, k int) []*Packet {
+	copy(q[k:], q[k+1:])
+	q[len(q)-1] = nil
+	return q[:len(q)-1]
+}

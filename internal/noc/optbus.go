@@ -16,8 +16,13 @@ type optBus struct {
 	propCycles int64
 	injectCap  int
 
-	queues   [][]*Packet // per-node FIFO awaiting a channel
-	busy     []int64     // per channel: cycle at which it frees
+	queues [][]*Packet // per-node FIFO awaiting a channel
+	// heads[ch] counts the unicast queue heads bound for channel ch and
+	// mcHeads the multicast heads; a free channel no head can use is not
+	// scanned.
+	heads    []int
+	mcHeads  int
+	busy     []int64 // per channel: cycle at which it frees
 	inFlight []busTx
 	rrNode   int // round-robin grant pointer
 	sink     func(*Packet, int64)
@@ -41,6 +46,7 @@ func NewOptBus(nodes, channels, widthBits int) Network {
 		// trip (token/grant on the arbitration waveguide).
 		propCycles: 4, injectCap: 16,
 		queues: make([][]*Packet, nodes),
+		heads:  make([]int, channels),
 		busy:   make([]int64, channels),
 	}
 }
@@ -62,6 +68,9 @@ func (b *optBus) Inject(p *Packet, now int64) bool {
 	}
 	p.InjectCycle = now
 	b.queues[p.Src] = append(b.queues[p.Src], p)
+	if len(b.queues[p.Src]) == 1 {
+		b.countHead(p, 1)
+	}
 	b.counters.InjectedPackets++
 	return true
 }
@@ -69,6 +78,15 @@ func (b *optBus) Inject(p *Packet, now int64) bool {
 // homeChannel returns the wavelength-group channel a destination listens
 // on.
 func (b *optBus) homeChannel(dst int) int { return dst % b.channels }
+
+// countHead adds delta to the head count p belongs to.
+func (b *optBus) countHead(p *Packet, delta int) {
+	if p.Multicast != nil {
+		b.mcHeads += delta
+	} else {
+		b.heads[b.homeChannel(p.Dst)] += delta
+	}
+}
 
 func (b *optBus) Step(now int64) {
 	// Deliver completed transmissions.
@@ -84,12 +102,13 @@ func (b *optBus) Step(now int64) {
 			kept = append(kept, tx)
 		}
 	}
+	clear(b.inFlight[len(kept):])
 	b.inFlight = kept
 	// Grant free channels round-robin across waiting nodes. A unicast must
 	// ride its destination's home channel (MWSR); a multicast is a single
 	// transmission heard at every drop, so it may use any free channel.
 	for ch := 0; ch < b.channels; ch++ {
-		if b.busy[ch] > now {
+		if b.busy[ch] > now || b.heads[ch] == 0 && b.mcHeads == 0 {
 			continue
 		}
 		granted := false
@@ -102,7 +121,11 @@ func (b *optBus) Step(now int64) {
 			if p.Multicast == nil && b.homeChannel(p.Dst) != ch {
 				continue
 			}
-			b.queues[node] = b.queues[node][1:]
+			b.queues[node] = removeAt(b.queues[node], 0)
+			b.countHead(p, -1)
+			if len(b.queues[node]) > 0 {
+				b.countHead(b.queues[node][0], 1)
+			}
 			ser := serCycles(p.Bits, b.widthBits)
 			b.busy[ch] = now + ser
 			b.counters.LinkBusyCycles += ser
@@ -112,8 +135,7 @@ func (b *optBus) Step(now int64) {
 					cp := *p
 					cp.Dst = d
 					cp.Multicast = nil
-					pc := cp
-					b.inFlight = append(b.inFlight, busTx{p: &pc, arrives: now + ser + b.propCycles})
+					b.inFlight = append(b.inFlight, busTx{p: &cp, arrives: now + ser + b.propCycles})
 				}
 			} else {
 				b.inFlight = append(b.inFlight, busTx{p: p, arrives: now + ser + b.propCycles})

@@ -1,11 +1,19 @@
 package flumen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"testing"
 
 	"flumen/internal/workload"
 )
+
+// quarterScaleSuiteDigest is the sha256 of json.Marshal(RunSuite(
+// DefaultConfig(), 4).Results), recorded on linux/amd64. A change meant to
+// alter the simulated results must re-record it and say why.
+const quarterScaleSuiteDigest = "5a96654ef16c6f91dedb7542cd98e43fcc773cbad41ddbf4369d3dfeb983539b"
 
 func TestRunSuiteHeadlines(t *testing.T) {
 	// The paper's headline geometric means (Flumen-A vs Mesh): 3.6×
@@ -17,6 +25,17 @@ func TestRunSuiteHeadlines(t *testing.T) {
 	}
 	if len(s.Benchmarks) != 5 {
 		t.Fatalf("suite ran %d benchmarks", len(s.Benchmarks))
+	}
+	// Pin the simulated statistics bit for bit: encoding/json writes map
+	// keys sorted and floats in their shortest exact form, so any drift in
+	// the chip or network models moves this digest.
+	b, err := json.Marshal(s.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != quarterScaleSuiteDigest {
+		t.Errorf("quarter-scale suite results digest %s, want %s", got, quarterScaleSuiteDigest)
 	}
 	sp := s.GeomeanSpeedup("Mesh")
 	if sp < 1.5 || sp > 8 {
